@@ -39,6 +39,11 @@
 // The `chunk` family ablates the batch granularity (chunk = 1 is per-state
 // handoff, the PR 4 behaviour); the visited set is identical at every
 // setting, only the rate moves.
+//
+// The `verdict` rows time what ftbar_check does on undetectable faults:
+// run() with the transition graph recorded, then both convergence queries.
+// Their counters: states, graph_edges (exact distinct edges) and
+// post_pass_s (mean wall time of the two queries alone).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -279,6 +284,41 @@ void BM_CheckerChunk(benchmark::State& state, CheckerConfig cfg, Workload* wl) {
       benchmark::Counter::kIsRate);
 }
 
+/// Time to verdict: run() with record_edges, then legit_reachable_from_all
+/// and converges_outside. A wrong verdict fails the row.
+void BM_CheckerVerdict(benchmark::State& state, CheckerConfig cfg,
+                       Workload* wl) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  if (skip_if_oversubscribed(state, threads)) return;
+  const auto& b = wl->bundle();
+  auto opt = to_options(cfg, *wl, threads);
+  opt.record_edges = true;
+  std::size_t states = 0;
+  std::size_t edges = 0;
+  double post_pass_s = 0;
+  for (auto _ : state) {
+    ftbar::check::Checker<RbProc> checker(b.actions, b.procs, opt, b.symmetry);
+    const auto res = checker.run(b.perturbed_roots, always_true);
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool converges = res.ok() &&
+                           checker.legit_reachable_from_all(b.legit) &&
+                           checker.converges_outside(b.legit);
+    post_pass_s += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    if (!converges) {
+      state.SkipWithError("wrong verdict: RB must converge");
+      return;
+    }
+    states = res.states_visited;
+    edges = checker.graph_edges();
+  }
+  state.counters["states"] = static_cast<double>(states);
+  state.counters["graph_edges"] = static_cast<double>(edges);
+  state.counters["post_pass_s"] =
+      post_pass_s / static_cast<double>(state.iterations());
+}
+
 constexpr CheckerConfig kInterleaving{};
 constexpr CheckerConfig kMaxpar{ftbar::sim::Semantics::kMaxParallel};
 constexpr CheckerConfig kPr3Baseline{ftbar::sim::Semantics::kInterleaving,
@@ -373,6 +413,11 @@ BENCHMARK_CAPTURE(BM_CheckerChunk, chunk, kWorkStealing, &rb_n8_ph8())
     ->Args({1, 8})
     ->Args({64, 8})
     ->Args({256, 8})
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_CheckerVerdict, verdict, kWorkStealing, &rb_n8_ph8())
+    ->Name("Checker/rb_n8_ph8/interleaving/ws/verdict")
+    ->Arg(1)
+    ->Arg(4)
     ->UseRealTime();
 
 }  // namespace

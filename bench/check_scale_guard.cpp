@@ -3,9 +3,12 @@
 //
 // Workload: the acceptance family from bench_check.cpp — RB on the ring,
 // N = 8, num_phases = 8, undetectable-fault roots, interleaving semantics,
-// work-stealing schedule at the default chunk size (~73k states). The guard
-// times the same exploration at 1 thread and at min(8, hardware) threads
-// (best of two runs each, after a warm-up) and requires
+// work-stealing schedule at the default chunk size. The invariant is
+// always true, as in ftbar_check: an undetectable-fault root violates the
+// bundle's `safe` at once, which would stop both runs after a few hundred
+// states and time nothing. The guard times the same exploration at 1
+// thread and at min(8, hardware) threads (best of two runs each, after a
+// warm-up) and requires
 //
 //     parallel wall time < single-thread wall time   (speedup > 1.0)
 //
@@ -16,8 +19,9 @@
 // this guard on any multi-core machine, long before a human reads a
 // benchmark JSON.
 //
-// The two runs must also agree on the visited set (state count and sorted
-// digests) — a scheduler that got faster by dropping states is not faster.
+// Each run must also visit exactly kExpectedStates states without a
+// violation, and the two must agree on the visited set (sorted digests) —
+// a scheduler that got faster by dropping states is not faster.
 //
 // On machines with fewer than 4 hardware threads the comparison is
 // meaningless (there is no parallelism to measure), so the guard exits 77
@@ -41,6 +45,7 @@ namespace {
 
 constexpr int kN = 8;
 constexpr int kPhases = 8;
+constexpr std::size_t kExpectedStates = 73'165;  ///< the whole neighbourhood
 constexpr unsigned kMinHardwareThreads = 4;
 constexpr int kSkipExitCode = 77;  ///< ctest SKIP_RETURN_CODE
 constexpr double kWallClockCeilingSec = 120.0;
@@ -48,6 +53,7 @@ constexpr double kWallClockCeilingSec = 120.0;
 struct RunResult {
   std::size_t states = 0;
   bool truncated = false;
+  bool violation = false;
   double secs = 0;
   std::vector<std::uint64_t> digests;
 };
@@ -62,12 +68,13 @@ RunResult explore(const check::ProgramBundle<RbProc>& bundle,
   check::Checker<RbProc> checker(bundle.actions, bundle.procs, opt,
                                  bundle.symmetry);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto res =
-      checker.run(bundle.roots(check::FaultClass::kUndetectable), bundle.safe);
+  const auto res = checker.run(bundle.roots(check::FaultClass::kUndetectable),
+                               [](const std::vector<RbProc>&) { return true; });
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  return {res.states_visited, res.truncated, secs, checker.sorted_digests()};
+  return {res.states_visited, res.truncated, res.violation.has_value(), secs,
+          checker.sorted_digests()};
 }
 
 /// Best-of-`reps` wall time (the minimum is the least noisy estimator for a
@@ -115,6 +122,15 @@ int main() {
   if (serial.truncated || parallel.truncated) {
     std::printf("FAIL: exploration truncated (max_states too small?)\n");
     ++failures;
+  }
+  for (const auto* r : {&serial, &parallel}) {
+    if (r->violation || r->states != kExpectedStates) {
+      std::printf("FAIL: a run visited %zu states%s; the whole neighbourhood "
+                  "is %zu states\n",
+                  r->states, r->violation ? " and stopped at a violation" : "",
+                  kExpectedStates);
+      ++failures;
+    }
   }
   if (parallel.states != serial.states ||
       parallel.digests != serial.digests) {

@@ -50,7 +50,12 @@
 //    and what the checker verifies;
 //  * every interned state carries parent/fired back-pointers, so an
 //    invariant violation yields a full Counterexample path from a root
-//    (minimal-length under BFS order) ready for schedule replay.
+//    (minimal-length under BFS order) ready for schedule replay;
+//  * with record_edges, a clean run leaves its transition graph behind as
+//    ONE compact reverse CSR over the store's dense state numbering (sorted,
+//    deduplicated rows plus out-degrees), and both convergence queries
+//    answer from it: a reverse BFS for possibility, a Kahn peel for
+//    guarantee.
 //
 // Determinism: on a clean exhaustive run the visited-state set — and hence
 // states_visited, levels and sorted_digests() — is independent of thread
@@ -64,9 +69,10 @@
 // threads > 1, WHICH violation is reported may vary run to run (and a few
 // states staged alongside the violating one may land in the store), so use
 // threads = 1 where a deterministic counterexample matters (the CLI and
-// tests do). The transition graph handed to the convergence queries is
-// complete only for clean exhaustive runs; the queries abort on truncated
-// results rather than answer from a partial graph.
+// tests do). The transition graph is complete only for clean exhaustive
+// runs, so run() builds it only then, and the graph queries abort on any
+// other run rather than answer from a partial graph. Its dense numbering
+// depends on the thread count; its edge count and both verdicts do not.
 #pragma once
 
 #include <algorithm>
@@ -75,14 +81,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -102,7 +106,10 @@ enum class Schedule { kBfs, kWorkStealing };
 /// Exploration counters, aggregated across workers at the end of run().
 struct CheckCounters {
   std::uint64_t expanded = 0;     ///< states whose successors were enumerated
-  std::uint64_t transitions = 0;  ///< successor states enumerated
+  /// Successor states enumerated, re-expansions included, so it varies
+  /// with thread count under work stealing; Checker::graph_edges() is the
+  /// exact distinct-edge count.
+  std::uint64_t transitions = 0;
   std::uint64_t interned = 0;     ///< fresh states (== states_visited)
   std::uint64_t dup_fast = 0;     ///< duplicates resolved lock-free
   std::uint64_t dup_slow = 0;     ///< duplicates resolved under a shard mutex
@@ -114,7 +121,7 @@ struct CheckCounters {
   std::uint64_t flushes = 0;       ///< intern_batch calls
   std::uint64_t bulk_groups = 0;   ///< shard locks taken across all flushes
   std::uint64_t bulk_grouped = 0;  ///< staged items that reached a locked group
-  double seconds = 0;             ///< wall time of the exploration
+  double seconds = 0;  ///< wall time of run(), graph build included
 
   [[nodiscard]] double dedup_hit_rate() const noexcept {
     return transitions == 0
@@ -161,8 +168,8 @@ struct CheckOptions {
   std::size_t max_states = 2'000'000;
   std::size_t threads = 1;
   /// Record the transition graph for legit_reachable_from_all() /
-  /// converges_outside(). Off by default: violation hunting and state-count
-  /// oracles don't need edges, and the edge list dwarfs the state store.
+  /// converges_outside() / graph_edges(). Off by default: violation
+  /// hunting and state-count oracles don't need edges.
   bool record_edges = false;
   Schedule schedule = Schedule::kBfs;
   /// Canonicalize states under the program's declared symmetry group
@@ -223,7 +230,7 @@ class Checker {
     chunk_ = std::clamp<std::size_t>(options_.chunk, 1, StateChunk::kCapacity);
     store_.emplace(procs_, options_.max_states, nthreads > 1,
                    options_.dedup_fast_path, nthreads);
-    edges_.clear();
+    graph_.reset();
     stop_.store(false, std::memory_order_relaxed);
     truncated_.store(false, std::memory_order_relaxed);
     pending_.store(0, std::memory_order_relaxed);
@@ -298,6 +305,9 @@ class Checker {
       result.counters.bulk_groups += w.counters.bulk_groups;
       result.counters.bulk_grouped += w.counters.bulk_grouped;
     }
+    // Only a clean exhaustive run has a complete graph; the queries abort
+    // on any other rather than answer from a partial one.
+    if (options_.record_edges && result.ok()) build_graph(workers);
     result.counters.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -325,92 +335,84 @@ class Checker {
   /// group-invariant (the quotient preserves reachability of invariant
   /// predicates).
   [[nodiscard]] bool legit_reachable_from_all(const Invariant& legit) const {
-    require_complete_graph();
-    const auto ids = store_->all_ids();
-    const auto dense = dense_index(ids);
-    const std::size_t n = ids.size();
-    std::vector<std::vector<std::size_t>> rev(n);
-    for (const auto& [from, to] : edges_) {
-      rev[dense.at(to)].push_back(dense.at(from));
+    const Graph& g = complete_graph();
+    // Reverse BFS from the legit states; the queue doubles as the visited
+    // count.
+    auto reached = legit_flags(legit);
+    std::vector<std::uint32_t> queue;
+    queue.reserve(reached.size());
+    for (std::uint32_t v = 0; v < reached.size(); ++v) {
+      if (reached[v]) queue.push_back(v);
     }
-    std::vector<char> ok(n, 0);
-    std::deque<std::size_t> frontier;
-    State scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (legit(materialize(ids[i], scratch))) {
-        ok[i] = 1;
-        frontier.push_back(i);
-      }
-    }
-    while (!frontier.empty()) {
-      const auto v = frontier.front();
-      frontier.pop_front();
-      for (const auto u : rev[v]) {
-        if (!ok[u]) {
-          ok[u] = 1;
-          frontier.push_back(u);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const auto v = queue[head];
+      for (auto e = g.pred_ofs[v]; e < g.pred_ofs[v + 1]; ++e) {
+        const auto u = g.preds[e];
+        if (!reached[u]) {
+          reached[u] = 1;
+          queue.push_back(u);
         }
       }
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!ok[i]) return false;
-    }
-    return true;
+    return queue.size() == reached.size();
   }
 
   /// True iff the transition graph restricted to non-legit states is
   /// acyclic and no non-legit state is terminal — convergence under ANY
   /// (even unfair) scheduling. Requires record_edges and a clean exhaustive
-  /// last run. Mirrors sim::Explorer::converges_outside so the two stay
+  /// last run. Agrees with sim::Explorer::converges_outside so the two stay
   /// cross-checkable. (A quotient cycle lifts to a cycle through rotated
   /// copies in the full graph and vice versa, so the answer is unchanged
   /// by symmetry reduction for group-invariant `legit`.)
   [[nodiscard]] bool converges_outside(const Invariant& legit) const {
-    require_complete_graph();
-    const auto ids = store_->all_ids();
-    const auto dense = dense_index(ids);
-    const std::size_t n = ids.size();
-    std::vector<std::vector<std::size_t>> out(n);
-    for (const auto& [from, to] : edges_) {
-      out[dense.at(from)].push_back(dense.at(to));
-    }
-    std::vector<char> is_legit(n, 0);
-    State scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      is_legit[i] = legit(materialize(ids[i], scratch)) ? 1 : 0;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!is_legit[i] && out[i].empty()) return false;  // non-legit deadlock
-    }
-    std::vector<char> color(n, 0);  // 0 white, 1 gray, 2 black
-    for (std::size_t s = 0; s < n; ++s) {
-      if (is_legit[s] || color[s] != 0) continue;
-      std::vector<std::pair<std::size_t, std::size_t>> stack{{s, 0}};
-      color[s] = 1;
-      while (!stack.empty()) {
-        const auto v = stack.back().first;
-        if (stack.back().second < out[v].size()) {
-          const auto w = out[v][stack.back().second++];
-          if (is_legit[w]) continue;        // edges into legit states are fine
-          if (color[w] == 1) return false;  // back edge: cycle outside legit
-          if (color[w] == 0) {
-            color[w] = 1;
-            stack.emplace_back(w, 0);
-          }
-          continue;
-        }
-        color[v] = 2;
-        stack.pop_back();
+    const Graph& g = complete_graph();
+    // Kahn peel over the reverse graph: legit states start out peeled, and
+    // a non-legit state is peeled once all its successors are. A non-legit
+    // state with no successor is a deadlock; one left unpeeled lies on, or
+    // leads into, a cycle outside legit.
+    const auto is_legit = legit_flags(legit);
+    std::vector<std::uint32_t> unpeeled(g.out_deg);  // successors not yet peeled
+    std::vector<std::uint32_t> queue;
+    queue.reserve(is_legit.size());
+    for (std::uint32_t v = 0; v < is_legit.size(); ++v) {
+      if (is_legit[v]) {
+        queue.push_back(v);
+      } else if (g.out_deg[v] == 0) {
+        return false;
       }
     }
-    return true;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const auto v = queue[head];
+      for (auto e = g.pred_ofs[v]; e < g.pred_ofs[v + 1]; ++e) {
+        const auto u = g.preds[e];
+        if (!is_legit[u] && --unpeeled[u] == 0) queue.push_back(u);
+      }
+    }
+    return queue.size() == is_legit.size();
+  }
+
+  /// Distinct edges of the recorded transition graph: exact, and the same
+  /// at every thread count and schedule (unlike CheckCounters::
+  /// transitions). Requires record_edges and a clean exhaustive last run.
+  [[nodiscard]] std::size_t graph_edges() const {
+    return complete_graph().preds.size();
   }
 
  private:
+  /// The transition graph a clean record_edges run leaves behind, over the
+  /// store's dense state numbering: a reverse CSR (the predecessors of v
+  /// are preds[pred_ofs[v] .. pred_ofs[v + 1]), sorted and unique) plus
+  /// every state's out-degree. 8 bytes per state, 4 per distinct edge.
+  struct Graph {
+    std::vector<std::uint32_t> pred_ofs;
+    std::vector<std::uint32_t> preds;
+    std::vector<std::uint32_t> out_deg;
+  };
+
   struct Worker {
     std::size_t index = 0;                   ///< arena / deque slot
     std::vector<Id> next;                    ///< BFS: next-level frontier
-    std::vector<std::pair<Id, Id>> edges;
+    std::vector<std::pair<Id, Id>> edges;    ///< recorded (from, to), whole run
     std::unique_ptr<SuccessorGen<P>> gen;
     std::unique_ptr<Canonicalizer<P>> canon;
     std::vector<P> canon_buf;
@@ -460,7 +462,6 @@ class Checker {
         ++result.levels;
         cursor_.store(0, std::memory_order_relaxed);
         workers[0].next.clear();
-        workers[0].edges.clear();
         expand_level(frontier, depth, invariant, workers[0]);
         merge_level(frontier, workers);
         ++depth;
@@ -488,10 +489,7 @@ class Checker {
     while (!frontier.empty() && !stop_.load(std::memory_order_relaxed)) {
       ++result.levels;
       cursor_.store(0, std::memory_order_relaxed);
-      for (auto& w : workers) {
-        w.next.clear();
-        w.edges.clear();
-      }
+      for (auto& w : workers) w.next.clear();
       sync.arrive_and_wait();
       sync.arrive_and_wait();
       merge_level(frontier, workers);
@@ -502,16 +500,13 @@ class Checker {
     for (auto& t : pool) t.join();
   }
 
-  /// Merges the per-worker successor/edge buffers, in worker order, into the
+  /// Merges the per-worker successor buffers, in worker order, into the
   /// next frontier. Runs after the level barrier, so every intern of the
   /// finished level is visible.
   void merge_level(std::vector<Id>& frontier, std::vector<Worker>& workers) {
     frontier.clear();
     for (auto& w : workers) {
       frontier.insert(frontier.end(), w.next.begin(), w.next.end());
-      if (options_.record_edges) {
-        edges_.insert(edges_.end(), w.edges.begin(), w.edges.end());
-      }
     }
   }
 
@@ -610,12 +605,6 @@ class Checker {
         pool.emplace_back(worker_loop, i);
       }
       for (auto& t : pool) t.join();
-    }
-    if (options_.record_edges) {
-      for (auto& w : workers) {
-        edges_.insert(edges_.end(), w.edges.begin(), w.edges.end());
-        w.edges.clear();
-      }
     }
     // Depth-corrected exact diameter (see class comment): on clean runs
     // every depth equals the true BFS depth, and the deepest state sits
@@ -827,28 +816,67 @@ class Checker {
     return cx;
   }
 
-  void require_complete_graph() const {
-    // Answering a convergence query from a partial graph would be a silent
-    // soundness hole; insist the caller recorded edges on a clean run.
-    if (!options_.record_edges || !store_ ||
-        truncated_.load(std::memory_order_relaxed) ||
-        violation_id_ != StateStore<P>::kNoId) {
-      std::abort();
+  /// Builds graph_ from the workers' (from, to) buffers with one counting
+  /// sort by target, freeing each buffer once it has been read, then sorts
+  /// and dedupes every row in place (a re-expanded state records its edges
+  /// again) and counts out-degrees. Sequential; runs after all workers
+  /// joined.
+  void build_graph(std::vector<Worker>& workers) {
+    const auto dense = store_->dense_ids();
+    const std::size_t n = store_->size();
+    Graph& g = graph_.emplace();
+    g.pred_ofs.assign(n + 1, 0);
+    for (const auto& w : workers) {
+      for (const auto& e : w.edges) ++g.pred_ofs[dense(e.second) + 1];
     }
+    for (std::size_t v = 0; v < n; ++v) g.pred_ofs[v + 1] += g.pred_ofs[v];
+    g.preds.resize(g.pred_ofs[n]);
+    {
+      std::vector<std::uint32_t> fill(g.pred_ofs.begin(), g.pred_ofs.end() - 1);
+      for (auto& w : workers) {
+        for (const auto& e : w.edges) {
+          g.preds[fill[dense(e.second)]++] = dense(e.first);
+        }
+        std::vector<std::pair<Id, Id>>().swap(w.edges);
+      }
+    }
+    // Compact each sorted, deduplicated row leftwards. Row v starts at or
+    // after the write cursor, so the copy never overtakes unread entries.
+    g.out_deg.assign(n, 0);
+    std::uint32_t write = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      std::uint32_t* row = g.preds.data() + g.pred_ofs[v];
+      std::uint32_t* row_end = g.preds.data() + g.pred_ofs[v + 1];
+      std::sort(row, row_end);
+      row_end = std::unique(row, row_end);
+      g.pred_ofs[v] = write;
+      for (const std::uint32_t* p = row; p != row_end; ++p) {
+        ++g.out_deg[*p];
+        g.preds[write++] = *p;
+      }
+    }
+    g.pred_ofs[n] = write;
+    g.preds.resize(write);
   }
 
-  [[nodiscard]] std::unordered_map<Id, std::size_t> dense_index(
-      const std::vector<Id>& ids) const {
-    std::unordered_map<Id, std::size_t> dense;
-    dense.reserve(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) dense.emplace(ids[i], i);
-    return dense;
+  /// The recorded graph. Answering a convergence query from a partial
+  /// graph would be a silent soundness hole, so without one (record_edges
+  /// off, or a truncated or violating last run) this aborts.
+  [[nodiscard]] const Graph& complete_graph() const {
+    if (!graph_) std::abort();
+    return *graph_;
   }
 
-  [[nodiscard]] const State& materialize(Id id, State& scratch) const {
-    const auto span = store_->state(id);
-    scratch.assign(span.begin(), span.end());
-    return scratch;
+  /// legit(s) of every stored state, in dense order.
+  [[nodiscard]] std::vector<char> legit_flags(const Invariant& legit) const {
+    std::vector<char> flags;
+    flags.reserve(store_->size());
+    State scratch;
+    store_->for_each_state([&](std::span<const P> s) {
+      scratch.assign(s.begin(), s.end());
+      flags.push_back(legit(scratch) ? 1 : 0);
+    });
+    return flags;
   }
 
   std::vector<sim::Action<P>> actions_;
@@ -859,7 +887,7 @@ class Checker {
   std::size_t chunk_ = 64;  ///< clamped options_.chunk, set per run()
   sim::ReadIndex read_index_;
   std::optional<StateStore<P>> store_;
-  std::vector<std::pair<Id, Id>> edges_;
+  std::optional<Graph> graph_;
   std::atomic<std::size_t> cursor_{0};
   std::atomic<std::int64_t> pending_{0};
   std::atomic<bool> stop_{false};

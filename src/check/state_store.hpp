@@ -48,11 +48,13 @@
 // a concurrent append never reallocates them, and blob bytes, the blob
 // pointer and the depth are written before the id escapes the shard mutex
 // or is release-stored into a fast-path slot. Metadata accessors (parent /
-// fired / digest_of / exponent / max_depth) are valid only after all
-// interning calls joined.
+// fired / digest_of / exponent / max_depth) and the dense enumeration
+// (dense_ids / for_each_state) are valid only after all interning calls
+// joined.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -386,16 +388,42 @@ class StateStore {
 
   [[nodiscard]] std::size_t procs() const noexcept { return procs_; }
 
-  /// Every interned id, shard-major. Stable post-run enumeration order.
-  [[nodiscard]] std::vector<Id> all_ids() const {
-    std::vector<Id> out;
-    out.reserve(size());
+  /// Dense numbering of the interned states, 0 .. size()-1, shard-major:
+  /// shard s's states take [base[s], base[s] + count) in insertion order.
+  /// Ids are (local << kShardBits) | shard, so mapping one is a table
+  /// lookup plus an add — no hash map. A snapshot of the shard counts, so
+  /// valid only after all interning calls joined.
+  class DenseIds {
+   public:
+    [[nodiscard]] std::uint32_t operator()(Id id) const noexcept {
+      return base_[id & (kShards - 1)] + (id >> kShardBits);
+    }
+
+   private:
+    friend class StateStore;
+    std::array<std::uint32_t, kShards> base_{};
+  };
+
+  [[nodiscard]] DenseIds dense_ids() const {
+    DenseIds dense;
+    std::uint32_t next = 0;
     for (std::size_t sh = 0; sh < kShards; ++sh) {
-      for (std::size_t local = 0; local < shards_[sh].count; ++local) {
-        out.push_back(make_id(sh, static_cast<std::uint32_t>(local)));
+      dense.base_[sh] = next;
+      next += static_cast<std::uint32_t>(shards_[sh].count);
+    }
+    return dense;
+  }
+
+  /// Calls fn(std::span<const P>) on every interned state in dense order
+  /// (post-join).
+  template <class Fn>
+  void for_each_state(Fn&& fn) const {
+    for (const auto& shard : shards_) {
+      for (std::size_t local = 0; local < shard.count; ++local) {
+        fn(std::span<const P>{slot(shard, static_cast<std::uint32_t>(local)),
+                              procs_});
       }
     }
-    return out;
   }
 
   /// Sorted digests of every interned state — the canonical fingerprint

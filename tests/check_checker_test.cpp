@@ -82,7 +82,19 @@ TEST(StateStore, InternsDedupsAndKeepsDiscoveryMetadata) {
   auto digests = store.sorted_digests();
   EXPECT_EQ(digests.size(), 2u);
   EXPECT_TRUE(std::is_sorted(digests.begin(), digests.end()));
-  EXPECT_EQ(store.all_ids().size(), 2u);
+
+  // The dense numbering is a bijection onto [0, size()), and
+  // for_each_state visits the states in that order.
+  const auto dense = store.dense_ids();
+  const std::set<std::uint32_t> numbers{dense(ra.id), dense(rb.id)};
+  EXPECT_EQ(numbers, (std::set<std::uint32_t>{0, 1}));
+  std::vector<BitState> visited;
+  store.for_each_state([&](std::span<const Bit> s) {
+    visited.emplace_back(s.begin(), s.end());
+  });
+  ASSERT_EQ(visited.size(), 2u);
+  EXPECT_EQ(visited[dense(ra.id)], a);
+  EXPECT_EQ(visited[dense(rb.id)], b);
 }
 
 TEST(StateStore, InternBatchMatchesSingleInternSemantics) {
@@ -375,6 +387,43 @@ TEST(WorkStealing, FindsTheViolationWheneverBfsDoesAndItReplays) {
         trace::replay_schedule(counterexample_schedule(small), b.actions);
     EXPECT_TRUE(report.ok) << report.message;
     EXPECT_EQ(report.steps_replayed, small.length());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Convergence graph
+// ---------------------------------------------------------------------------
+
+TEST(ConvergenceGraph, EdgeCountAndVerdictsIdenticalAcrossThreadsAndSchedules) {
+  // RB N=8, 8 phases, undetectable roots: 73,165 states. Work stealing at
+  // several threads re-expands states whose depth improved, which records
+  // their edges again; the graph must dedupe them to the one-thread count.
+  const auto b = make_rb_bundle(8, 8);
+  const auto always = [](const RbState&) { return true; };
+  std::optional<std::size_t> baseline_edges;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const auto sched : {Schedule::kBfs, Schedule::kWorkStealing}) {
+      CheckOptions opt;
+      opt.threads = threads;
+      opt.schedule = sched;
+      opt.record_edges = true;
+      Checker<RbProc> ck(b.actions, b.procs, opt);
+      const auto res = ck.run(b.roots(FaultClass::kUndetectable), always);
+      const auto tag = std::to_string(threads) + " threads" +
+                       (sched == Schedule::kBfs ? " bfs" : " ws");
+      ASSERT_TRUE(res.ok()) << tag;
+      EXPECT_EQ(res.states_visited, 73'165u) << tag;
+      EXPECT_TRUE(ck.legit_reachable_from_all(b.legit)) << tag;
+      EXPECT_TRUE(ck.converges_outside(b.legit)) << tag;
+      if (!baseline_edges) baseline_edges = ck.graph_edges();
+      EXPECT_EQ(ck.graph_edges(), *baseline_edges) << tag;
+      // On a clean run every enumerated successor is a recorded edge, so
+      // the counter exceeds the distinct count exactly when states were
+      // re-expanded (or two actions share a successor, which RB has not).
+      EXPECT_EQ(res.counters.transitions > ck.graph_edges(),
+                res.counters.reexpansions > 0)
+          << tag;
+    }
   }
 }
 

@@ -7,8 +7,10 @@
 // agreement on both convergence queries over the recorded graphs.
 //
 // Each stream also draws a scheduler configuration — BFS or work-stealing,
-// chunk size from {1, 3, 64, 256} — so the batching plumbing is fuzzed
-// against the seed under every handoff granularity, not just the default.
+// chunk size from {1, 3, 64, 256}, 1, 2 or 4 worker threads — so the
+// batching plumbing is fuzzed against the seed under every handoff
+// granularity, and the convergence graph is built from several workers'
+// edge buffers, not just one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,6 +58,8 @@ void differential_run(const ProgramBundle<P>& b, std::uint64_t stream) {
       rng.uniform(2) == 0 ? Schedule::kBfs : Schedule::kWorkStealing;
   constexpr std::size_t kChunks[] = {1, 3, 64, 256};
   copt.chunk = kChunks[rng.uniform(4)];
+  constexpr std::size_t kThreads[] = {1, 2, 4};
+  copt.threads = kThreads[rng.uniform(3)];
   Checker<P> checker(b.actions, b.procs, copt);
   const auto cres = checker.run(roots, invariant);
 

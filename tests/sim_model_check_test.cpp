@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "check/checker.hpp"
 
 namespace ftbar::sim {
@@ -149,6 +153,84 @@ TEST(Explorer, AgreesWithTheCheckSubsystem) {
       ck.run({State{Bit{0}, Bit{0}}}, [](const State&) { return true; });
   EXPECT_EQ(res.states_visited, seed.states_visited);
   EXPECT_FALSE(res.violation.has_value());
+}
+
+// One toy graph for the convergence queries, with the verdicts and the
+// distinct edge count both implementations must report.
+struct ToyGraph {
+  const char* name;
+  std::vector<Action<Bit>> actions;
+  State root;
+  std::function<bool(const State&)> legit;
+  bool possible;    ///< legit_reachable_from_all
+  bool guaranteed;  ///< converges_outside
+  std::size_t edges;
+};
+
+Action<Bit> step_to(const char* name, int from, int to) {
+  return make_action<Bit>(
+      name, 0, [from](const State& s) { return s[0].v == from; },
+      [to](State& s) { s[0].v = to; });
+}
+
+std::vector<ToyGraph> toy_graphs() {
+  const auto is = [](int v) {
+    return std::function<bool(const State&)>(
+        [v](const State& s) { return s[0].v == v; });
+  };
+  const auto all_ones = [](const State& s) {
+    return s[0].v == 1 && s[1].v == 1;
+  };
+  const State zero{Bit{0}};
+  const State two_bits{Bit{0}, Bit{0}};
+  return {
+      {"acyclic escape 0->1->2", {step_to("a", 0, 1), step_to("b", 1, 2)},
+       zero, is(2), true, true, 2},
+      {"2-cycle", {step_to("a", 0, 1), step_to("b", 1, 0)}, zero, is(2),
+       false, false, 2},
+      {"2-cycle with an escape",
+       {step_to("a", 0, 1), step_to("b", 1, 0), step_to("c", 1, 2)}, zero,
+       is(2), true, false, 3},
+      {"non-legit deadlock", {step_to("never", 5, 6)}, zero, is(1), false,
+       false, 0},
+      {"legit deadlock", {step_to("never", 5, 6)}, zero, is(0), true, true, 0},
+      {"unreachable legit", {set_bit(0), set_bit(1)}, two_bits, is(7), false,
+       false, 4},
+      {"reachable legit", {set_bit(0), set_bit(1)}, two_bits, all_ones, true,
+       true, 4},
+      {"self-loop outside legit", {step_to("stay", 0, 0), step_to("go", 0, 1)},
+       zero, is(1), true, false, 2},
+      {"two actions, one edge",
+       {step_to("a", 0, 1), step_to("a'", 0, 1), step_to("b", 1, 2)}, zero,
+       is(2), true, true, 2},
+  };
+}
+
+TEST(Explorer, CheckerAnswersTheToyConvergenceGraphsLikeTheSeed) {
+  const auto always = [](const State&) { return true; };
+  for (const auto& g : toy_graphs()) {
+    Explorer<Bit, BitHash> ex(g.actions, BitHash{});
+    ex.explore({g.root}, always);
+    EXPECT_EQ(ex.legit_reachable_from_all(g.legit), g.possible) << g.name;
+    EXPECT_EQ(ex.converges_outside(g.legit), g.guaranteed) << g.name;
+    for (const std::size_t threads : {1u, 4u}) {
+      for (const auto sched :
+           {check::Schedule::kBfs, check::Schedule::kWorkStealing}) {
+        check::CheckOptions opt;
+        opt.threads = threads;
+        opt.schedule = sched;
+        opt.record_edges = true;
+        check::Checker<Bit> ck(g.actions, g.root.size(), opt);
+        const auto tag = std::string(g.name) + " threads=" +
+                         std::to_string(threads) +
+                         (sched == check::Schedule::kBfs ? " bfs" : " ws");
+        ASSERT_TRUE(ck.run({g.root}, always).ok()) << tag;
+        EXPECT_EQ(ck.legit_reachable_from_all(g.legit), g.possible) << tag;
+        EXPECT_EQ(ck.converges_outside(g.legit), g.guaranteed) << tag;
+        EXPECT_EQ(ck.graph_edges(), g.edges) << tag;
+      }
+    }
+  }
 }
 
 TEST(Explorer, StatesAccessorExposesAllStates) {

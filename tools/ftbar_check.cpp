@@ -36,7 +36,10 @@
 //   --stats                  periodic exploration progress on stderr and a
 //                            final counters line after each run (including
 //                            chunk occupancy, steals and bulk-insert group
-//                            sizes — the batching health signals)
+//                            sizes — the batching health signals); with
+//                            undetectable faults also a graph line: the
+//                            exact distinct-edge count and the wall time
+//                            of the two convergence queries
 //   --threads T (1)          checker worker threads / swarm pool size
 //   --chunk C (64)           states per scheduler handoff unit (1-256);
 //                            1 restores per-state handoff. The visited set
@@ -422,8 +425,16 @@ int run_exhaust(const Args& args, const check::ProgramBundle<P>& bundle,
     // i.e. under ANY scheduler) is strictly stronger than the paper's
     // weakly-fair claim; all four programs satisfy it at their shipped
     // parameters, so failing it is the tighter regression tripwire.
+    const auto q0 = std::chrono::steady_clock::now();
     const bool possible = checker.legit_reachable_from_all(bundle.legit);
     const bool guaranteed = possible && checker.converges_outside(bundle.legit);
+    if (args.stats) {
+      std::fprintf(args.csv ? stderr : stdout,
+                   "  graph: edges=%zu post_pass=%.3fs\n", checker.graph_edges(),
+                   std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - q0)
+                       .count());
+    }
     if (guaranteed) {
       extra = "convergence guaranteed from every state";
     } else if (possible) {
